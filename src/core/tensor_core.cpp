@@ -157,6 +157,8 @@ void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
   // Each 50:50 splitter stage multiplies the remainder by excess * 0.5.
   fast_.tap_factor = units::db_to_ratio(-config_.macro.splitter_excess_db) * 0.5;
   fast_.responsivity = config_.macro.photodiode.responsivity;
+  fast_.valid = true;
+  fast_.stale = false;
 
   // The chain transmissions are a pure function of (loaded weight words,
   // thermal detuning), and a serving fleet reloads the same few blocks on
@@ -170,19 +172,17 @@ void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
       if (i != 0) std::rotate(calibrations_.begin(),
                               calibrations_.begin() + i,
                               calibrations_.begin() + i + 1);
-      fast_.valid = true;
       return;
     }
   }
 
   // Ring-chain transmissions: the expensive spectral product (every ring of
   // a bit row evaluated at every channel wavelength — the crosstalk walk)
-  // only changes when the multiply rings are re-biased or detuned, i.e.
-  // here or in set_thermal_detuning.
+  // only changes when the multiply rings are re-biased or detuned; a
+  // detuning change marks the gains stale and the next read lands here.
   fast_.chain = build_chain();
   calibrations_.insert(calibrations_.begin(),
                        CalibrationEntry{words, detuning_, fast_.chain});
-  fast_.valid = true;
   // Enough slots for every block of a resident model shard plus headroom.
   // Evict drifted (nonzero-detuning) entries first: a wandering detuning
   // key almost never recurs, while the detuning-0 entries are exactly what
@@ -234,11 +234,11 @@ void TensorCore::set_thermal_detuning(double delta_kelvin) {
   for (auto& macro : probe_macros_) {
     macro.set_temperature_offset(delta_kelvin);
   }
-  // Refresh the armed fast path at the new operating point so it stays
-  // bit-identical to the physics walk (same chain function, same state).
-  if (fast_.valid) {
-    calibrate_fast_path(loaded_words_);
-  }
+  // Any frozen gains now describe the old operating point.  The refresh is
+  // deferred to the next read (analog_row_values): a drift clock that
+  // advances several times between reads, or a cold load_weights that
+  // recalibrates anyway, then never pays a walk whose result goes unused.
+  fast_.stale = true;
 }
 
 void TensorCore::recalibrate() {
@@ -300,6 +300,9 @@ void TensorCore::analog_row_values(const double* input, double* out) {
     analog_row_values_physics(input, out);
     return;
   }
+  // Re-freeze at the current operating point so the replay stays
+  // bit-identical to the physics walk (same chain function, same state).
+  if (fast_.stale) calibrate_fast_path(loaded_words_);
 
   // Per-sample tap powers q[tile][bit_row][ch]: the encoded channel power
   // after the binary-weighted splitter cascade.  These replay the physics

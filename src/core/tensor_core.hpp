@@ -42,9 +42,11 @@ struct TensorCoreConfig {
   double control_power = 160e-3;
   double wall_plug_efficiency = tech_wall_plug;
   /// Calibrated fast path: at load_weights time the core freezes every
-  /// macro's ring-chain transmissions (they only change at weight load) and
-  /// multiply_analog replays the photocurrent sum over the cached gains
-  /// instead of re-walking the spectral physics per sample.  The replay uses
+  /// macro's ring-chain transmissions (they only change at weight load,
+  /// fault injection, or a detuning change, which re-freezes them on the
+  /// core's next multiply) and multiply_analog replays the photocurrent sum
+  /// over the cached gains instead of re-walking the spectral physics per
+  /// sample.  The replay uses
   /// the identical floating-point operation sequence, so results are
   /// bit-identical to the physics walk (which remains available as the
   /// reference oracle when this is false).
@@ -112,17 +114,20 @@ class TensorCore {
   // --- thermal drift / online recalibration ---------------------------------
   /// Ambient thermal detuning from the calibrated operating point [K]:
   /// every multiply ring is detuned through its own (variation-spread)
-  /// thermo-optic sensitivity, and the cached fast-path gains are refreshed
-  /// through the spectral walk at the new operating point — the fast path
-  /// stays bit-identical to the physics walk at every detuning.  Costs one
-  /// weight-load-grade calibration walk when the fast path is armed.
+  /// thermo-optic sensitivity.  The armed fast-path gains are only marked
+  /// stale here; the core's next multiply re-freezes them through the
+  /// spectral walk (or the calibration memo) at the new operating point, so
+  /// the fast path stays bit-identical to the physics walk at every
+  /// detuning.  Cheap: a run of detunings with no multiply in between, or
+  /// one followed by a load_weights, costs no calibration walk at all.
   void set_thermal_detuning(double delta_kelvin);
   double thermal_detuning() const { return detuning_; }
 
   /// Heater re-lock: pulls every ring back to the calibrated operating
-  /// point (detuning -> 0), re-freezes the fast-path gains there, and opens
-  /// a new calibration epoch.  The modeled downtime of the fleet-level
-  /// recalibration is billed by runtime::Accelerator::recalibrate().
+  /// point (detuning -> 0), so the next multiply re-freezes the fast-path
+  /// gains there, and opens a new calibration epoch.  The modeled downtime
+  /// of the fleet-level recalibration is billed by
+  /// runtime::Accelerator::recalibrate().
   void recalibrate();
 
   /// Number of recalibrations performed (epoch 0 = as-constructed).
@@ -257,13 +262,16 @@ class TensorCore {
   /// walk per sample is (per macro): encode the comb lines, split them into
   /// binary-weighted bit-row taps, and attenuate each tap channel by the
   /// transmission of the whole ring chain of that bit row.  Every factor in
-  /// that chain except the input itself is frozen between weight loads, so
-  /// it is cached here and replayed per sample with the identical
-  /// floating-point operation sequence (canonical channel-, bit-row-,
-  /// tile-order summation) — bit-identical to the physics walk by
-  /// construction.
+  /// that chain except the input itself is frozen between weight loads,
+  /// fault changes and detuning changes, so it is cached here and replayed
+  /// per sample with the identical floating-point operation sequence
+  /// (canonical channel-, bit-row-, tile-order summation) — bit-identical to
+  /// the physics walk by construction.
   struct FastGains {
     bool valid = false;
+    /// The detuning changed since `chain` was frozen: the next read
+    /// re-freezes it (calibrate_fast_path) before replaying.
+    bool stale = false;
     double comb_power = 0.0;     ///< per-line comb power [W]
     double encoder_loss = 0.0;   ///< encoder insertion loss (power ratio)
     double encoder_floor = 0.0;  ///< finite-extinction leakage floor
@@ -287,7 +295,8 @@ class TensorCore {
     std::shared_ptr<const std::vector<double>> chain;
   };
 
-  /// Rebuilds (or recalls) the cached gains for the loaded weight words.
+  /// Rebuilds (or recalls) the cached gains for the loaded weight words at
+  /// the current detuning, and clears FastGains::stale.
   void calibrate_fast_path(const std::vector<std::uint32_t>& words);
 
   /// Drops the calibration memo and re-freezes the fast path after a fault
@@ -300,9 +309,9 @@ class TensorCore {
   /// channel wavelength — the crosstalk walk).
   std::shared_ptr<const std::vector<double>> build_chain() const;
 
-  /// Normalized analog row values for one sample: fast replay when armed,
-  /// full spectral walk otherwise.  `input` has cols() entries; `out` has
-  /// rows() entries.
+  /// Normalized analog row values for one sample: fast replay when armed
+  /// (re-freezing stale gains first), full spectral walk otherwise.
+  /// `input` has cols() entries; `out` has rows() entries.
   void analog_row_values(const double* input, double* out);
 
   /// The per-sample physics walk (reference oracle).

@@ -1,7 +1,7 @@
 // Variation/drift subsystem: seeded determinism of core::VariationModel,
-// fast-path-vs-physics bit-identity per frozen calibration epoch, accuracy
-// recovery after recalibrate(), and the serve loop's drift/recalibration
-// accounting.
+// fast-path-vs-physics bit-identity per frozen calibration epoch and across
+// the deferred drift refresh of the fast-path gains, accuracy recovery
+// after recalibrate(), and the serve loop's drift/recalibration accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "common/random_matrix.hpp"
 #include "common/rng.hpp"
 #include "core/tensor_core.hpp"
 #include "core/variation.hpp"
@@ -183,6 +184,81 @@ TEST(Variation, ReloadUnderDetuningRefreshesTheCalibration) {
             oracle.multiply_analog(kProbeInput));
 }
 
+// A detuning change only marks the fast-path gains stale; the next read
+// re-freezes them.  These sequences interleave that deferred refresh with
+// every other state change the core has and hold it to the physics oracle.
+class DeferredRefresh : public ::testing::Test {
+ protected:
+  DeferredRefresh() {
+    fast.load_weights(test_weights());
+    physics.load_weights(test_weights());
+  }
+  /// Applies the same step to the fast-path core and the physics oracle.
+  template <typename Step>
+  void on_both(Step step) {
+    step(fast);
+    step(physics);
+  }
+  void detune(double kelvin) {
+    on_both([kelvin](TensorCore& core) { core.set_thermal_detuning(kelvin); });
+  }
+  void expect_bit_identical() {
+    EXPECT_EQ(fast.multiply_analog(kProbeInput),
+              physics.multiply_analog(kProbeInput));
+  }
+
+  TensorCore fast{small_core(33, true)};
+  TensorCore physics{small_core(33, false)};
+};
+
+TEST_F(DeferredRefresh, DetuningsWithNoReadBetweenThem) {
+  for (double kelvin : {0.2, -0.5, 0.7, 0.35}) detune(kelvin);
+  expect_bit_identical();
+}
+
+TEST_F(DeferredRefresh, DetuneThenQuantizedBatch) {
+  on_both([](TensorCore& core) { core.set_readout_gain(2.0); });
+  detune(-0.45);
+  const Matrix inputs{{0.9, 0.2, 0.65, 0.4},
+                      {0.1, 1.0, 0.3, 0.0},
+                      {0.5, 0.5, 0.95, 0.8}};
+  EXPECT_EQ(fast.multiply_batch(inputs).data(),
+            physics.multiply_batch(inputs).data());
+  EXPECT_EQ(fast.adc_saturations(), physics.adc_saturations());
+}
+
+TEST_F(DeferredRefresh, DetuneThenRingFaults) {
+  detune(0.6);
+  on_both([](TensorCore& core) {
+    core.inject_ring_faults({{1, 2, 0, RingFaultKind::kStuckOn},
+                             {3, 0, 1, RingFaultKind::kStuckOff}});
+  });
+  expect_bit_identical();
+}
+
+TEST_F(DeferredRefresh, StuckHeaterIgnoresLaterDetuning) {
+  detune(0.3);
+  on_both([](TensorCore& core) { core.inject_stuck_heater(); });
+  detune(-0.6);
+  EXPECT_EQ(fast.thermal_detuning(), 0.3);
+  expect_bit_identical();
+}
+
+TEST_F(DeferredRefresh, SelfTestZeroAndRestoreRoundTrip) {
+  detune(-0.25);
+  // runtime::Accelerator::run_self_test's sequence: BIST at the lock point,
+  // then back to the drifted operating point.
+  std::vector<double> errors;
+  on_both([&errors](TensorCore& core) {
+    const double kelvin = core.thermal_detuning();
+    core.set_thermal_detuning(0.0);
+    errors.push_back(core.self_test(8, 2026).max_row_error);
+    core.set_thermal_detuning(kelvin);
+  });
+  EXPECT_EQ(errors[0], errors[1]);
+  expect_bit_identical();
+}
+
 // ---------------------------------------------------------------------------
 // Accelerator drift / recalibration state
 // ---------------------------------------------------------------------------
@@ -256,6 +332,34 @@ TEST(AcceleratorDrift, ResetDriftRewindsTheTrajectory) {
   EXPECT_EQ(accelerator.clock(), 0.0);
   accelerator.advance_to(1e-6);
   EXPECT_EQ(accelerator.core(0).thermal_detuning(), first);
+}
+
+TEST(AcceleratorDrift, SparseMatmulsOnADriftingFleetMatchPhysics) {
+  // Most clock advances are never followed by a read on that core; the
+  // deferred gain refresh must still leave every matmul bit-identical to
+  // the physics oracle, across a mid-run re-lock too.
+  runtime::AcceleratorConfig fast_config = drift_fleet(0.5);
+  runtime::AcceleratorConfig physics_config = fast_config;
+  physics_config.core.fast_path = false;
+  runtime::Accelerator fast(fast_config);
+  runtime::Accelerator physics(physics_config);
+  Rng rng(77);
+  const Matrix x = random_activations(5, 12, rng);
+  const Matrix w = random_signed(12, 20, rng);
+  constexpr int kInstants = 40;
+  constexpr int kReadEvery = 3;
+  for (int step = 1; step <= kInstants; ++step) {
+    const double t = 0.25e-6 * step;
+    fast.advance_to(t);
+    physics.advance_to(t);
+    if (step == kInstants / 2) {
+      fast.recalibrate();
+      physics.recalibrate();
+    }
+    if (step % kReadEvery != 0) continue;
+    EXPECT_EQ(fast.matmul(x, w).data(), physics.matmul(x, w).data())
+        << "instant " << step;
+  }
 }
 
 // ---------------------------------------------------------------------------
