@@ -1,13 +1,33 @@
 #include "core/eoadc.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <string>
+#include <utility>
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
 
 namespace ptc::core {
+
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+
+/// Maps doubles onto unsigned integers in the same order, so that adjacent
+/// keys are adjacent doubles and bisecting keys converges to one ulp.
+std::uint64_t ordered_key(double v) {
+  const auto bits = std::bit_cast<std::uint64_t>(v);
+  return (bits & kSignBit) != 0 ? ~bits : bits | kSignBit;
+}
+
+double from_ordered_key(std::uint64_t key) {
+  return std::bit_cast<double>((key & kSignBit) != 0 ? key & ~kSignBit
+                                                     : ~key);
+}
+
+}  // namespace
 
 EoAdc::EoAdc(const EoAdcConfig& config)
     : config_(config),
@@ -101,7 +121,43 @@ EoAdc::Conversion EoAdc::convert(double v_in) {
   return out;
 }
 
-unsigned EoAdc::code(double v_in) { return convert(v_in).code; }
+unsigned EoAdc::code(double v_in) {
+  if (table_state_ == CodeTable::kUnbuilt) build_code_table();
+  // NaN fails both comparisons and takes the walk.
+  if (table_state_ != CodeTable::kArmed ||
+      !(v_in >= table_lo_ && v_in <= table_hi_)) {
+    return convert(v_in).code;
+  }
+  unsigned count = 0;
+  for (const double edge : table_edges_) count += v_in >= edge ? 1u : 0u;
+  return count;
+}
+
+void EoAdc::build_code_table() {
+  table_state_ = CodeTable::kDeclined;
+  table_lo_ = -config_.v_full_scale;
+  table_hi_ = 8.0 * config_.v_full_scale;
+  const auto walk = [this](double v) { return convert(v).code; };
+  if (walk(table_lo_) != 0 || walk(table_hi_) != max_code()) return;
+
+  std::vector<double> edges;
+  edges.reserve(max_code());
+  for (unsigned k = 1; k <= max_code(); ++k) {
+    // Invariant: walk(lo) < k <= walk(hi); stop when the keys are adjacent.
+    std::uint64_t lo = ordered_key(table_lo_);
+    std::uint64_t hi = ordered_key(table_hi_);
+    while (hi - lo > 1) {
+      const std::uint64_t mid = lo + (hi - lo) / 2;
+      (walk(from_ordered_key(mid)) >= k ? hi : lo) = mid;
+    }
+    const double edge = from_ordered_key(hi);
+    if (walk(edge) != k || walk(from_ordered_key(lo)) != k - 1) return;
+    if (!edges.empty() && !(edge > edges.back())) return;
+    edges.push_back(edge);
+  }
+  table_edges_ = std::move(edges);
+  table_state_ = CodeTable::kArmed;
+}
 
 EoAdc::TransientResult EoAdc::convert_transient(double v_in,
                                                 sim::TraceSet* traces) {
@@ -199,21 +255,22 @@ EoAdc::TransientResult EoAdc::convert_transient(double v_in,
 std::vector<double> EoAdc::code_edges() {
   std::vector<double> edges;
   edges.reserve(channel_count() - 1);
+  const auto walk = [this](double v) { return convert(v).code; };
   for (unsigned target = 1; target < channel_count(); ++target) {
     // Bisect the lowest input voltage whose code is >= target.
     double lo = 0.0;
     double hi = config_.v_full_scale;
-    if (code(lo) >= target) {
+    if (walk(lo) >= target) {
       edges.push_back(lo);
       continue;
     }
-    if (code(hi) < target) {
+    if (walk(hi) < target) {
       edges.push_back(hi);
       continue;
     }
     for (int i = 0; i < 50; ++i) {
       const double mid = 0.5 * (lo + hi);
-      if (code(mid) >= target) {
+      if (walk(mid) >= target) {
         hi = mid;
       } else {
         lo = mid;

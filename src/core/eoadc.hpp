@@ -95,11 +95,27 @@ class EoAdc {
     std::vector<bool> active;
   };
 
-  /// Static (settled) conversion.
+  /// Static (settled) conversion: walks all 2^p rings and ROM-decodes.  This
+  /// is the physics oracle; code_edges() and linearity() measure it directly.
   Conversion convert(double v_in);
 
-  /// Shorthand for convert(v).code.
+  /// Same value as convert(v).code, read from a frozen code-edge table.
+  ///
+  /// The first call bisects the walk for the 2^p - 1 code edges — each the
+  /// first double at which the static code steps up — over the covered
+  /// domain [-V_FS, 8 V_FS] (every readout gain up to 8).  The table arms
+  /// only if the edges strictly increase, the walk reads exactly k at edge k
+  /// and k - 1 one ulp below it, and 0 / max_code() at the domain ends; an
+  /// armed call is then an edge count.  Inputs outside the domain, NaN, and
+  /// any converter whose table declined to arm (a mismatched ladder whose
+  /// code is non-monotone) take the walk.  The table is built lazily, not
+  /// in the constructor, and like the rings' bias scratch it is unguarded
+  /// state: one EoAdc is only ever used by one thread at a time.
   unsigned code(double v_in);
+
+  /// The armed table's code edges (edge k - 1 is the first double reading
+  /// code k); empty until code() has armed it, and for good if it declined.
+  const std::vector<double>& code_table() const { return table_edges_; }
 
   struct TransientResult {
     Conversion conversion;
@@ -113,8 +129,8 @@ class EoAdc {
   TransientResult convert_transient(double v_in,
                                     sim::TraceSet* traces = nullptr);
 
-  /// Code transition voltages (2^p - 1 edges), located by bisection on the
-  /// static conversion.
+  /// Code transition voltages (2^p - 1 edges) on [0, V_FS], located by
+  /// bisection on the static conversion (the walk, never the table).
   std::vector<double> code_edges();
 
   struct Linearity {
@@ -148,6 +164,10 @@ class EoAdc {
  private:
   double ring_thru_transmission(std::size_t ch, double v_in) const;
   double activation_threshold_power() const;
+  enum class CodeTable : std::uint8_t { kUnbuilt, kArmed, kDeclined };
+
+  /// Bisects and validates the code-edge table; see code().
+  void build_code_table();
 
   EoAdcConfig config_;
   /// Bias is evaluation scratch state (set per query from V_REF - V_IN), so
@@ -156,6 +176,10 @@ class EoAdc {
   std::vector<double> vref_;
   optics::Photodiode photodiode_;
   circuit::CeilingRomDecoder decoder_;
+  CodeTable table_state_ = CodeTable::kUnbuilt;
+  double table_lo_ = 0.0;  ///< covered domain [table_lo_, table_hi_] [V]
+  double table_hi_ = 0.0;
+  std::vector<double> table_edges_;  ///< filled only once armed
 };
 
 }  // namespace ptc::core

@@ -360,20 +360,27 @@ std::vector<double> TensorCore::multiply_analog(
 std::vector<unsigned> TensorCore::multiply(const std::vector<double>& input) {
   const std::vector<double> analog = multiply_analog(input);
   std::vector<unsigned> codes(config_.rows, 0);
+  quantize_sample(analog.data(), codes.data());
+  return codes;
+}
+
+void TensorCore::quantize_sample(const double* analog, unsigned* codes) {
   for (std::size_t row = 0; row < config_.rows; ++row) {
     // Row TIA maps the full-scale current range onto the ADC input range,
     // scaled by the programmable readout gain.
     const double v_adc =
         analog[row] * readout_gain_ * config_.adc.v_full_scale;
+    EoAdc& adc = adcs_[row];
     // A dead ladder clocks its conversion but reads out all-zero codes.
-    codes[row] = adc_dead_[row] != 0 ? 0u : adcs_[row].code(v_adc);
+    codes[row] = adc_dead_[row] != 0   ? 0u
+                 : config_.fast_path ? adc.code(v_adc)
+                                     : adc.convert(v_adc).code;
     ++adc_conversions_;
-    if (codes[row] == adcs_[row].max_code()) ++adc_saturations_;
+    if (codes[row] == adc.max_code()) ++adc_saturations_;
   }
   ++samples_;
-  // One ADC sample window of static power is burned per multiply.
+  // One ADC sample window of static power is burned per sample.
   ledger_.accrue_static(1.0 / adcs_.front().sample_rate());
-  return codes;
 }
 
 Matrix TensorCore::multiply_analog_batch(const Matrix& inputs) {
@@ -393,19 +400,13 @@ Matrix TensorCore::multiply_batch(const Matrix& inputs) {
   Matrix out(inputs.rows(), config_.rows);
   const double scale = static_cast<double>(adcs_.front().max_code());
   std::vector<double> analog(config_.rows, 0.0);
-  const double sample_window = 1.0 / adcs_.front().sample_rate();
+  std::vector<unsigned> codes(config_.rows, 0);
   for (std::size_t s = 0; s < inputs.rows(); ++s) {
     analog_row_values(inputs.data().data() + s * inputs.cols(), analog.data());
+    quantize_sample(analog.data(), codes.data());
     for (std::size_t r = 0; r < config_.rows; ++r) {
-      const double v_adc =
-          analog[r] * readout_gain_ * config_.adc.v_full_scale;
-      const unsigned code = adc_dead_[r] != 0 ? 0u : adcs_[r].code(v_adc);
-      ++adc_conversions_;
-      if (code == adcs_[r].max_code()) ++adc_saturations_;
-      out(s, r) = static_cast<double>(code) / scale;
+      out(s, r) = static_cast<double>(codes[r]) / scale;
     }
-    ++samples_;
-    ledger_.accrue_static(sample_window);
   }
   return out;
 }

@@ -317,6 +317,13 @@ class TensorCore {
   /// The per-sample physics walk (reference oracle).
   void analog_row_values_physics(const double* input, double* out);
 
+  /// Digitizes one sample's analog row values into `codes` (rows() entries)
+  /// and bills the sample window.  A dead ladder reads 0; otherwise the
+  /// fast path reads each eoADC's code table (EoAdc::code) and the oracle
+  /// walks its rings (EoAdc::convert), so fast-vs-oracle checks also check
+  /// the table.
+  void quantize_sample(const double* analog, unsigned* codes);
+
   TensorCoreConfig config_;
   PsramArray psram_;
   /// macros_[row][tile]: each macro covers channels_per_macro columns.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/eoadc.hpp"
 
@@ -193,6 +197,113 @@ TEST(EoAdc, RejectsBadConfig) {
   bad = {};
   bad.trip_offset_ratio = 0.9;
   EXPECT_THROW(EoAdc{bad}, std::invalid_argument);
+}
+
+// --- frozen code-edge table (EoAdc::code) vs the walk (EoAdc::convert) ----
+
+EoAdcConfig table_config(unsigned bits, double sigma, std::uint64_t seed) {
+  EoAdcConfig config;
+  config.bits = bits;
+  config.vref_mismatch_sigma = sigma;
+  config.mismatch_seed = seed;
+  return config;
+}
+
+/// code(v) == convert(v).code at every double within +-4096 ulps of each
+/// edge, on a dense sweep of the covered domain [-V_FS, 8 V_FS], at both
+/// domain ends +-1 ulp, far outside the domain, and for NaN.
+void expect_table_equals_walk(EoAdc& adc, const std::vector<double>& edges) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> probes;
+  for (const double edge : edges) {
+    double v = edge;
+    for (int i = 0; i < 4096; ++i) v = std::nextafter(v, -kInf);
+    for (int i = 0; i <= 2 * 4096; ++i, v = std::nextafter(v, kInf)) {
+      probes.push_back(v);
+    }
+  }
+  const double fs = adc.config().v_full_scale;
+  for (double v = -fs; v <= 8.0 * fs; v += adc.lsb() / 64.0) {
+    probes.push_back(v);
+  }
+  for (const double end : {-fs, 8.0 * fs}) {
+    probes.insert(probes.end(), {std::nextafter(end, -kInf), end,
+                                 std::nextafter(end, kInf)});
+  }
+  probes.insert(probes.end(), {1e6, -1e6, kInf, -kInf,
+                               std::numeric_limits<double>::quiet_NaN()});
+  for (const double v : probes) {
+    ASSERT_EQ(adc.code(v), adc.convert(v).code) << "at v = " << v;
+  }
+}
+
+/// Arms the table on first use and pins it to the walk everywhere.
+void expect_armed_table_equals_walk(unsigned bits, double sigma,
+                                    std::uint64_t seed) {
+  SCOPED_TRACE("bits " + std::to_string(bits) + ", sigma " +
+               std::to_string(sigma) + ", seed " + std::to_string(seed));
+  EoAdc adc(table_config(bits, sigma, seed));
+  EXPECT_TRUE(adc.code_table().empty());  // built lazily, on first code()
+  adc.code(0.0);
+  const std::vector<double> edges = adc.code_table();
+  ASSERT_EQ(edges.size(), adc.max_code());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    // Exact edges: code k + 1 at the edge, code k one ulp below it.
+    EXPECT_EQ(adc.convert(edges[k]).code, k + 1);
+    EXPECT_EQ(adc.convert(std::nextafter(edges[k], -1e9)).code, k);
+  }
+  expect_table_equals_walk(adc, edges);
+}
+
+TEST(EoAdcTable, PristineLadderEqualsWalk) {
+  for (unsigned bits = 1; bits <= 4; ++bits) {
+    expect_armed_table_equals_walk(bits, 0.0, 1);
+  }
+}
+
+TEST(EoAdcTable, MismatchedLaddersEqualWalk) {
+  for (unsigned bits = 1; bits <= 4; ++bits) {
+    for (const std::uint64_t seed : {5u, 11u, 23u}) {
+      // A tenth of an LSB of reference-ladder spread.
+      const double lsb = 4.0 / static_cast<double>(1u << bits);
+      expect_armed_table_equals_walk(bits, 0.1 * lsb, seed);
+    }
+  }
+}
+
+TEST(EoAdcTable, CodeEdgesAgreeWithTable) {
+  // code_edges() bisects the walk on [0, V_FS] to 50 halvings; the table's
+  // exact edges sit within that bracket.
+  EoAdc adc;
+  const auto measured = adc.code_edges();
+  adc.code(0.0);
+  const auto& edges = adc.code_table();
+  ASSERT_EQ(edges.size(), measured.size());
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    EXPECT_NEAR(edges[k], measured[k], 1e-12);
+  }
+}
+
+TEST(EoAdcTable, NonMonotoneLaddersStayUnarmedAndEqualWalk) {
+  // Ladders whose walk reads out of order (sigma 0.3 / seed 2 reads
+  // 1 0 3 2 ..., sigma 0.4 / seed 3 ends ... 7 6): the table declines and
+  // every code() takes the walk.
+  for (const auto& [sigma, seed] :
+       {std::pair{0.3, std::uint64_t{2}}, std::pair{0.4, std::uint64_t{3}}}) {
+    SCOPED_TRACE("sigma " + std::to_string(sigma));
+    EoAdc adc(table_config(3, sigma, seed));
+    unsigned prev = 0;
+    bool non_monotone = false;
+    for (double v = 0.0; v <= adc.config().v_full_scale; v += 1e-3) {
+      const unsigned walked = adc.convert(v).code;
+      non_monotone = non_monotone || walked < prev;
+      prev = walked;
+    }
+    EXPECT_TRUE(non_monotone);
+    adc.code(0.0);
+    EXPECT_TRUE(adc.code_table().empty());
+    expect_table_equals_walk(adc, adc.code_edges());
+  }
 }
 
 }  // namespace
