@@ -17,6 +17,11 @@ namespace {
 /// Recursive-descent parser over a raw character range.
 class Parser {
  public:
+  /// Deepest object/array nesting accepted.  The simulator's own documents
+  /// nest a few levels; the cap keeps hostile input from exhausting the
+  /// stack through the recursion.
+  static constexpr std::size_t kMaxDepth = 512;
+
   explicit Parser(const std::string& text) : text_(text) {}
 
   Value parse_document() {
@@ -62,9 +67,14 @@ class Parser {
   Value parse_value() {
     switch (peek()) {
       case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
+      case '[': {
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth));
+        }
+        Value v = text_[pos_] == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"':
         return Value::string(parse_string());
       case 't':
@@ -191,6 +201,7 @@ class Parser {
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

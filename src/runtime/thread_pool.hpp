@@ -4,32 +4,29 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-/// Host-side execution runtime for the multi-tile accelerator: a
-/// work-stealing thread pool that the `Accelerator` uses to run per-core
-/// tile shards concurrently and that the sweep helpers use to parallelize
-/// parameter grids.  All scheduling here is *host* scheduling — simulated
-/// hardware results never depend on thread interleaving (see
-/// runtime/accelerator.hpp for the determinism contract).
+/// Host-side execution runtime for the multi-tile accelerator: a fork-join
+/// thread pool that the `Accelerator` uses to run per-core tile shards
+/// concurrently and that the sweep helpers use to parallelize parameter
+/// grids.  All scheduling here is *host* scheduling — simulated hardware
+/// results never depend on thread interleaving (see runtime/accelerator.hpp
+/// for the determinism contract).
 namespace ptc::runtime {
 
-/// Fixed-size work-stealing thread pool.
+/// Fixed-size fork-join thread pool that runs one `parallel_for` at a time.
 ///
-/// Each worker owns a deque: it pops its own tasks LIFO (cache-friendly for
-/// recursively submitted work) and steals FIFO from siblings when its deque
-/// runs dry — the classic Chase-Lev discipline, implemented with per-deque
-/// locks since tasks here are coarse (whole tile shards or sweep points).
+/// A `parallel_for` publishes one job; the workers and the calling thread
+/// claim its indices from a shared atomic counter until the range is
+/// exhausted, and the caller returns once every claimed index has finished.
 ///
-/// Threads waiting inside `parallel_for` help execute pending tasks instead
-/// of blocking, so nested parallelism cannot deadlock even on a single
-/// worker.
+/// A one-index range runs inline on the caller, and so does a call made
+/// while another job is running — nested inside a body or from a second
+/// thread — so nested parallelism cannot deadlock even on a single worker.
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 picks std::thread::hardware_concurrency()
@@ -40,39 +37,27 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  std::size_t size() const { return workers_.size(); }
-
-  /// Enqueues a task; the future rethrows any exception the task raised.
-  std::future<void> submit(std::function<void()> task);
+  std::size_t size() const { return threads_.size(); }
 
   /// Runs body(i) for every i in [begin, end) across the pool and waits for
-  /// completion.  The calling thread participates by executing pending
-  /// tasks.  The first exception thrown by any iteration is rethrown.
+  /// completion.  The calling thread claims indices too.  Every index runs
+  /// even if some throw; the first exception thrown is then rethrown.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 
-  /// Executes one pending task if any is available.  Returns false when
-  /// every deque was empty.  Exposed so external wait loops can help.
-  bool run_pending_task();
-
  private:
-  struct Worker {
-    std::deque<std::packaged_task<void()>> queue;
-    std::mutex mutex;
-  };
+  struct Job;
 
-  void worker_loop(std::size_t self);
-  void enqueue(std::packaged_task<void()> task);
-  bool try_pop(std::size_t index, bool from_back,
-               std::packaged_task<void()>& out);
+  void worker_loop();
+  static void run(Job& job);
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::thread> threads_;
-  std::mutex sleep_mutex_;
-  std::condition_variable sleep_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  std::shared_ptr<Job> job_;       // guarded by mutex_; latest published job
+  std::size_t generation_ = 0;     // guarded by mutex_; bumped per job
+  bool stop_ = false;              // guarded by mutex_
+  std::atomic<bool> busy_{false};  // a published job is still running
+  std::vector<std::thread> threads_;  // last: the workers use the above
 };
 
 }  // namespace ptc::runtime

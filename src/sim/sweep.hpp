@@ -7,7 +7,7 @@
 #include "runtime/thread_pool.hpp"
 
 /// Parameter sweep helpers for the bench harness: run a metric across a grid
-/// and collect (parameter, value) records.  The *_parallel variants fan the
+/// and collect (parameter, value) records.  sweep_1d_parallel fans the
 /// grid out across a runtime::ThreadPool; the metric must be safe to call
 /// concurrently (give each evaluation its own Rng / device instances — see
 /// Rng::split), and results come back in grid order regardless of which
@@ -29,23 +29,6 @@ inline std::vector<SweepPoint> sweep_1d(
   return out;
 }
 
-struct SweepPoint2d {
-  double parameter_a;
-  double parameter_b;
-  double value;
-};
-
-/// Evaluates `metric` over the cartesian product grid_a x grid_b.
-inline std::vector<SweepPoint2d> sweep_2d(
-    const std::vector<double>& grid_a, const std::vector<double>& grid_b,
-    const std::function<double(double, double)>& metric) {
-  std::vector<SweepPoint2d> out;
-  out.reserve(grid_a.size() * grid_b.size());
-  for (double a : grid_a)
-    for (double b : grid_b) out.push_back({a, b, metric(a, b)});
-  return out;
-}
-
 /// Parallel sweep_1d: evaluates every grid point across the pool.
 inline std::vector<SweepPoint> sweep_1d_parallel(
     runtime::ThreadPool& pool, const std::vector<double>& grid,
@@ -53,21 +36,6 @@ inline std::vector<SweepPoint> sweep_1d_parallel(
   std::vector<SweepPoint> out(grid.size());
   pool.parallel_for(0, grid.size(), [&](std::size_t i) {
     out[i] = {grid[i], metric(grid[i])};
-  });
-  return out;
-}
-
-/// Parallel sweep_2d over the cartesian product grid_a x grid_b; output
-/// order matches sweep_2d (a-major).
-inline std::vector<SweepPoint2d> sweep_2d_parallel(
-    runtime::ThreadPool& pool, const std::vector<double>& grid_a,
-    const std::vector<double>& grid_b,
-    const std::function<double(double, double)>& metric) {
-  std::vector<SweepPoint2d> out(grid_a.size() * grid_b.size());
-  pool.parallel_for(0, out.size(), [&](std::size_t i) {
-    const double a = grid_a[i / grid_b.size()];
-    const double b = grid_b[i % grid_b.size()];
-    out[i] = {a, b, metric(a, b)};
   });
   return out;
 }

@@ -4,9 +4,12 @@
 // static and the reduction order canonical.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <future>
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/random_matrix.hpp"
@@ -29,22 +32,60 @@ using namespace ptc::runtime;
 // ThreadPool
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPool, ExecutesEverySubmittedTask) {
+TEST(ThreadPool, ConcurrentCallersEachCoverTheirRangeExactlyOnce) {
   ThreadPool pool(4);
   EXPECT_EQ(pool.size(), 4u);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&count] { count.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(count.load(), 100);
+  std::vector<std::atomic<int>> hits_a(500), hits_b(300);
+  auto cover = [&pool](std::vector<std::atomic<int>>& hits) {
+    pool.parallel_for(0, hits.size(),
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+  };
+  std::thread a(cover, std::ref(hits_a));
+  std::thread b(cover, std::ref(hits_b));
+  a.join();
+  b.join();
+  for (const auto& h : hits_a) EXPECT_EQ(h.load(), 1);
+  for (const auto& h : hits_b) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, SubmitPropagatesExceptionsThroughTheFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+TEST(ThreadPool, BackToBackSmallJobsNeverReuseAStaleJob) {
+  // A worker that wakes late must not claim indices from a job that has
+  // already finished, nor miss the next one.
+  ThreadPool pool(4);
+  std::vector<int> hits(8);
+  for (std::size_t job = 0; job < 10000; ++job) {
+    const std::size_t n = 2 + job % 7;
+    std::fill(hits.begin(), hits.end(), 0);
+    pool.parallel_for(0, n, [&](std::size_t i) { hits[i] += 1; });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      ASSERT_EQ(hits[i], i < n ? 1 : 0) << "job " << job << " index " << i;
+    }
+  }
+}
+
+TEST(ThreadPool, PoolStaysUsableAfterAThrowingJob) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.parallel_for(0, 16,
+                                 [](std::size_t) {
+                                   throw std::runtime_error("every index");
+                                 }),
+               std::runtime_error);
+  std::vector<int> hits(64, 0);
+  pool.parallel_for(0, hits.size(), [&](std::size_t i) { hits[i] += 1; });
+  for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+TEST(ThreadPool, OneIndexRangeRunsOnTheCallingThread) {
+  // Repeated because a woken worker only sometimes beats the caller to it.
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 1000; ++rep) {
+    std::thread::id ran_on;
+    pool.parallel_for(7, 8, [&](std::size_t i) {
+      EXPECT_EQ(i, 7u);
+      ran_on = std::this_thread::get_id();
+    });
+    ASSERT_EQ(ran_on, std::this_thread::get_id()) << "rep " << rep;
+  }
 }
 
 TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {

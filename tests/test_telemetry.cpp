@@ -398,6 +398,10 @@ TEST(Json, ParsesDocumentsAndRejectsGarbage) {
   EXPECT_THROW(json::parse("[1,]"), std::invalid_argument);
   EXPECT_THROW(json::parse("{} trailing"), std::invalid_argument);
   EXPECT_THROW(v.at("s").as_number(), std::invalid_argument);
+  // Hostile nesting fails through the documented error, not the stack.
+  EXPECT_THROW(json::parse(std::string(100000, '[')), std::invalid_argument);
+  EXPECT_TRUE(json::parse(std::string(100, '[') + std::string(100, ']'))
+                  .is_array());
 }
 
 TEST(Json, NumberFormattingRoundTrips) {
