@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/expects.hpp"
 #include "common/rng.hpp"
@@ -115,6 +116,10 @@ double TensorCore::load_weights(
     expects(row.size() == config_.cols, "weight matrix column count mismatch");
     flat.insert(flat.end(), row.begin(), row.end());
   }
+  return load_words(std::move(flat));
+}
+
+double TensorCore::load_words(std::vector<std::uint32_t> flat) {
   const double latency = psram_.write_matrix(flat);
   if (psram_.endurance_enabled()) {
     // Worn cells may have refused bit toggles; from here on everything —
@@ -129,18 +134,18 @@ double TensorCore::load_weights(
 
   // The stored bits drive the multiply rings tile by tile.
   const std::size_t m = config_.macro.channels;
+  std::vector<std::uint32_t> tile_weights(m);
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < macros_per_row(); ++tile) {
-      std::vector<std::uint32_t> tile_weights(m);
       for (std::size_t ch = 0; ch < m; ++ch) {
         tile_weights[ch] = psram_.word(row, tile * m + ch);
       }
       macros_[row][tile].load_weights(tile_weights);
     }
   }
-  loaded_words_ = flat;
+  loaded_words_ = std::move(flat);
   if (config_.fast_path) {
-    calibrate_fast_path(flat);
+    calibrate_fast_path(loaded_words_);
   } else {
     fast_.valid = false;
   }
@@ -160,58 +165,46 @@ void TensorCore::calibrate_fast_path(const std::vector<std::uint32_t>& words) {
   fast_.valid = true;
   fast_.stale = false;
 
-  // The chain transmissions are a pure function of (loaded weight words,
-  // thermal detuning), and a serving fleet reloads the same few blocks on
-  // the same core every dispatch — recall the memoized calibration when
-  // both match.  Under drift the detuning key misses and the walk re-runs:
-  // the modeled cost of serving on a drifting device.
-  for (std::size_t i = 0; i < calibrations_.size(); ++i) {
-    if (calibrations_[i].detuning == detuning_ &&
-        calibrations_[i].words == words) {
-      fast_.chain = calibrations_[i].chain;
-      if (i != 0) std::rotate(calibrations_.begin(),
-                              calibrations_.begin() + i,
-                              calibrations_.begin() + i + 1);
-      return;
-    }
-  }
-
-  // Ring-chain transmissions: the expensive spectral product (every ring of
-  // a bit row evaluated at every channel wavelength — the crosstalk walk)
-  // only changes when the multiply rings are re-biased or detuned; a
-  // detuning change marks the gains stale and the next read lands here.
-  fast_.chain = build_chain();
-  calibrations_.insert(calibrations_.begin(),
-                       CalibrationEntry{words, detuning_, fast_.chain});
-  // Enough slots for every block of a resident model shard plus headroom.
-  // Evict drifted (nonzero-detuning) entries first: a wandering detuning
-  // key almost never recurs, while the detuning-0 entries are exactly what
-  // every post-re-lock reload hits again.
-  constexpr std::size_t kMaxCalibrations = 64;
-  if (calibrations_.size() > kMaxCalibrations) {
-    for (auto it = calibrations_.rbegin(); it != calibrations_.rend(); ++it) {
-      if (it->detuning != 0.0) {
-        calibrations_.erase(std::next(it).base());
+  // At the locked operating point (detuning 0) the chain transmissions are
+  // a pure function of the loaded weight words, and a serving fleet reloads
+  // the same few blocks on the same core every dispatch — recall the
+  // memoized calibration when the words match.  A drifted detuning almost
+  // never recurs, so drifted chains are rebuilt (mostly ring-table lookups)
+  // and never memoized.
+  const bool locked = detuning_ == 0.0;
+  if (locked) {
+    for (std::size_t i = 0; i < calibrations_.size(); ++i) {
+      if (calibrations_[i].words == words) {
+        fast_.chain = calibrations_[i].chain;
+        if (i != 0) std::rotate(calibrations_.begin(),
+                                calibrations_.begin() + i,
+                                calibrations_.begin() + i + 1);
         return;
       }
     }
-    calibrations_.pop_back();
   }
+
+  fast_.chain = build_chain();
+  if (!locked) return;
+  calibrations_.insert(calibrations_.begin(),
+                       CalibrationEntry{words, fast_.chain});
+  // Enough slots for every block of a resident model shard plus headroom.
+  constexpr std::size_t kMaxCalibrations = 64;
+  if (calibrations_.size() > kMaxCalibrations) calibrations_.pop_back();
 }
 
-std::shared_ptr<const std::vector<double>> TensorCore::build_chain() const {
+std::shared_ptr<const std::vector<double>> TensorCore::build_chain() {
   const std::size_t bits = config_.weight_bits;
   const std::size_t m = config_.macro.channels;
   const std::size_t tiles = macros_per_row();
   auto chain =
       std::make_shared<std::vector<double>>(config_.rows * tiles * bits * m);
-  std::size_t idx = 0;
+  double* gains = chain->data();
   for (std::size_t row = 0; row < config_.rows; ++row) {
     for (std::size_t tile = 0; tile < tiles; ++tile) {
-      for (std::size_t bit = 0; bit < bits; ++bit) {
-        for (std::size_t ch = 0; ch < m; ++ch) {
-          (*chain)[idx++] = macros_[row][tile].chain_transmission(bit, ch);
-        }
+      for (unsigned bit = 0; bit < bits; ++bit) {
+        macros_[row][tile].tabulated_chain(bit, gains);
+        gains += m;
       }
     }
   }
@@ -270,16 +263,16 @@ double TensorCore::load_weights_normalized(const Matrix& weights) {
   expects(weights.rows() == config_.rows && weights.cols() == config_.cols,
           "weight matrix shape mismatch");
   const double scale = static_cast<double>(max_weight());
-  std::vector<std::vector<std::uint32_t>> quantized(
-      config_.rows, std::vector<std::uint32_t>(config_.cols));
+  std::vector<std::uint32_t> words(config_.rows * config_.cols);
   for (std::size_t r = 0; r < config_.rows; ++r) {
     for (std::size_t c = 0; c < config_.cols; ++c) {
       const double w = weights(r, c);
       expects(w >= 0.0 && w <= 1.0, "normalized weights must be in [0, 1]");
-      quantized[r][c] = static_cast<std::uint32_t>(std::lround(w * scale));
+      words[r * config_.cols + c] =
+          static_cast<std::uint32_t>(std::lround(w * scale));
     }
   }
-  return load_weights(quantized);
+  return load_words(std::move(words));
 }
 
 void TensorCore::analog_row_values_physics(const double* input, double* out) {

@@ -116,10 +116,11 @@ class TensorCore {
   /// every multiply ring is detuned through its own (variation-spread)
   /// thermo-optic sensitivity.  The armed fast-path gains are only marked
   /// stale here; the core's next multiply re-freezes them through the
-  /// spectral walk (or the calibration memo) at the new operating point, so
-  /// the fast path stays bit-identical to the physics walk at every
-  /// detuning.  Cheap: a run of detunings with no multiply in between, or
-  /// one followed by a load_weights, costs no calibration walk at all.
+  /// ring table (or, back at detuning 0, the calibration memo) at the new
+  /// operating point, so the fast path stays bit-identical to the physics
+  /// walk at every detuning.  Cheap: a run of detunings with no multiply in
+  /// between, or one followed by a load_weights, costs no calibration at
+  /// all.
   void set_thermal_detuning(double delta_kelvin);
   double thermal_detuning() const { return detuning_; }
 
@@ -178,9 +179,9 @@ class TensorCore {
   // --- hard-fault injection (core/fault.hpp) --------------------------------
   /// Latches one multiply ring's drive line.  (row, col) address the weight
   /// matrix entry, bit the weight-bit row (0 = MSB).  The fault is applied
-  /// at the ring-bias level and the fast path is recalibrated through the
-  /// same spectral walk, so fast path and physics oracle stay bit-identical
-  /// under the fault.
+  /// at the ring-bias level, invalidates the macro's ring table, and the
+  /// fast path is re-frozen from the re-evaluated rings, so fast path and
+  /// physics oracle stay bit-identical under the fault.
   void inject_ring_fault(std::size_t row, std::size_t col, unsigned bit,
                          RingFaultKind kind);
   void inject_ring_faults(const std::vector<RingFaultSite>& sites);
@@ -266,7 +267,9 @@ class TensorCore {
   /// fault changes and detuning changes, so it is cached here and replayed
   /// per sample with the identical floating-point operation sequence
   /// (canonical channel-, bit-row-, tile-order summation) — bit-identical to
-  /// the physics walk by construction.
+  /// the physics walk by construction.  The chain itself is formed from each
+  /// macro's ring table (VectorComputeMacro::tabulated_chain), which only a
+  /// detuning or fault-set change invalidates.
   struct FastGains {
     bool valid = false;
     /// The detuning changed since `chain` was frozen: the next read
@@ -282,16 +285,15 @@ class TensorCore {
     std::shared_ptr<const std::vector<double>> chain;
   };
 
-  /// One memoized calibration: the integer weight words that were loaded,
-  /// the thermal detuning they were calibrated at, and the chain
-  /// transmissions they produce.  Serving steady-state reloads the same few
-  /// blocks on the same core every dispatch, so the spectral calibration
-  /// walk runs once per distinct (block, detuning), not per pass — under
-  /// active drift the detuning key misses and every reload pays the walk,
-  /// which is exactly the modeled cost of serving through drift.
+  /// One memoized calibration at the locked operating point (detuning 0):
+  /// the integer weight words that were loaded and the chain transmissions
+  /// they produce.  Serving steady-state reloads the same few blocks on the
+  /// same core every dispatch, so each distinct block's chain is formed once
+  /// per fault set, not per pass.  Drifted calibrations are not memoized: a
+  /// wandering detuning never recurs, and a drifted reload re-forms its chain
+  /// from the ring table, which stays valid until the detuning moves again.
   struct CalibrationEntry {
     std::vector<std::uint32_t> words;
-    double detuning = 0.0;
     std::shared_ptr<const std::vector<double>> chain;
   };
 
@@ -300,14 +302,19 @@ class TensorCore {
   void calibrate_fast_path(const std::vector<std::uint32_t>& words);
 
   /// Drops the calibration memo and re-freezes the fast path after a fault
-  /// set change (the memo keys on (words, detuning) only, so entries built
-  /// under a different fault set would be stale).
+  /// set change (the memo keys on the words only, so entries built under a
+  /// different fault set would be stale).
   void refresh_fast_path();
 
-  /// The expensive spectral product over the currently-programmed rings at
-  /// the current detuning (every ring of a bit row evaluated at every
-  /// channel wavelength — the crosstalk walk).
-  std::shared_ptr<const std::vector<double>> build_chain() const;
+  /// The spectral product over the currently-programmed rings at the
+  /// current detuning (every ring of a bit row at every channel wavelength —
+  /// the crosstalk walk), formed from each macro's ring table.
+  std::shared_ptr<const std::vector<double>> build_chain();
+
+  /// Writes `words` (rows x cols, row-major) to the pSRAM, programs the
+  /// rings from what the array stores and re-freezes the fast path.
+  /// Returns the reload latency [s].
+  double load_words(std::vector<std::uint32_t> words);
 
   /// Normalized analog row values for one sample: fast replay when armed
   /// (re-freezing stale gains first), full spectral walk otherwise.

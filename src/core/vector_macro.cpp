@@ -1,5 +1,6 @@
 #include "core/vector_macro.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -111,6 +112,7 @@ void VectorComputeMacro::set_ring_fault(unsigned bit_row, std::size_t channel,
   }
   slot = static_cast<std::uint8_t>(kind);
   apply_weight_biases();
+  ++table_epoch_;
 }
 
 void VectorComputeMacro::clear_ring_faults() {
@@ -118,10 +120,12 @@ void VectorComputeMacro::clear_ring_faults() {
   ring_faults_.clear();
   ring_fault_count_ = 0;
   apply_weight_biases();
+  ++table_epoch_;
 }
 
 void VectorComputeMacro::set_temperature_offset(double delta_kelvin) {
   temperature_offset_ = delta_kelvin;
+  ++table_epoch_;
   for (auto& row : rings_) {
     for (auto& ring : row) {
       ring.set_temperature_offset(delta_kelvin);
@@ -139,6 +143,32 @@ double VectorComputeMacro::chain_transmission(std::size_t bit_row,
     transmission *= ring.thru_transmission(lambda);
   }
   return transmission;
+}
+
+void VectorComputeMacro::tabulated_chain(unsigned bit_row, double* out) {
+  expects(bit_row < rings_.size(), "bit row out of range");
+  const std::size_t m = config_.channels;
+  if (table_.empty()) {
+    table_.resize(static_cast<std::size_t>(config_.weight_bits) * m * 2 * m);
+    table_epochs_.assign(static_cast<std::size_t>(config_.weight_bits) * m * 2,
+                         0);
+  }
+  const unsigned bit_index = config_.weight_bits - 1 - bit_row;
+  std::fill(out, out + m, 1.0);
+  for (std::size_t k = 0; k < m; ++k) {
+    // apply_weight_biases left ring k in the drive state of its stored bit.
+    const std::size_t state = (weights_[k] >> bit_index) & 1u;
+    const std::size_t slot = (bit_row * m + k) * 2 + state;
+    double* transmissions = table_.data() + slot * m;
+    if (table_epochs_[slot] != table_epoch_) {
+      for (std::size_t c = 0; c < m; ++c) {
+        transmissions[c] =
+            rings_[bit_row][k].thru_transmission(channel_wavelength(c));
+      }
+      table_epochs_[slot] = table_epoch_;
+    }
+    for (std::size_t c = 0; c < m; ++c) out[c] *= transmissions[c];
+  }
 }
 
 double VectorComputeMacro::compute_current(const std::vector<double>& inputs,

@@ -31,6 +31,13 @@
 /// The spectral evaluation includes inter-channel crosstalk: every ring's
 /// transfer function is evaluated at *every* channel wavelength, exactly the
 /// methodology the paper describes in Sec. IV-B.
+///
+/// At a fixed temperature and fault set each ring has only two transfer
+/// functions — one per stored bit — so the macro also keeps a lazily filled
+/// ring table: per ring and bit state, its thru transmission at all m
+/// channel wavelengths.  tabulated_chain() forms the chain products from it
+/// (the calibrated fast path's source); chain_transmission() keeps walking
+/// the rings (the physics oracle).
 namespace ptc::core {
 
 struct VectorMacroConfig {
@@ -91,6 +98,14 @@ class VectorComputeMacro {
   /// chain, given current weights — exposes crosstalk for tests/benches.
   double chain_transmission(std::size_t bit_row, std::size_t channel) const;
 
+  /// Writes chain_transmission(bit_row, c) for every channel c into
+  /// out[0..m), read from the ring table instead of re-evaluating the rings:
+  /// each gain is 1.0 times the tabulated transmissions of the row's rings in
+  /// ring order, the walk's exact multiply sequence, so it is bit-identical
+  /// to chain_transmission.  A table slot missing for a ring's current bit
+  /// state is filled from that ring first (m ring evaluations).
+  void tabulated_chain(unsigned bit_row, double* out);
+
   // --- hard faults -----------------------------------------------------------
   /// Latches one multiply ring's drive line: from now on the ring ignores
   /// its weight bit (and drive-level offset) and sits at the stuck bias.
@@ -128,6 +143,14 @@ class VectorComputeMacro {
   std::size_t ring_fault_count_ = 0;
   double full_scale_current_ = 0.0;
   double temperature_offset_ = 0.0;
+  /// Ring table: [bit_row][ring][bit state][channel] thru transmissions,
+  /// allocated on the first tabulated_chain call.  A slot is valid while
+  /// its entry in table_epochs_ ([bit_row][ring][bit state]) equals
+  /// table_epoch_; a temperature or fault-set change bumps the epoch, which
+  /// invalidates every slot at once.
+  std::vector<double> table_;
+  std::vector<std::uint64_t> table_epochs_;
+  std::uint64_t table_epoch_ = 1;
 };
 
 }  // namespace ptc::core
