@@ -109,8 +109,14 @@ Row run_config(std::size_t cores, std::size_t batch, bool quantize,
 }
 
 std::string row_suffix(const Row& row) {
-  return "c" + std::to_string(row.cores) + "_b" + std::to_string(row.batch) +
-         (row.quantize ? "" : "_analog");
+  // Built with append: GCC 12 flags `"c" + ...` here with a false
+  // -Wrestrict (GCC bug 105329).
+  std::string suffix = "c";
+  suffix.append(std::to_string(row.cores))
+      .append("_b")
+      .append(std::to_string(row.batch));
+  if (!row.quantize) suffix.append("_analog");
+  return suffix;
 }
 
 /// One traced dispatch at the acceptance point: the per-core pass/reload

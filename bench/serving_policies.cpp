@@ -262,8 +262,8 @@ int main() {
                "working set exceeds the fleet — exactly the paper's "
                "weight-streaming amortization argument, restated as a "
                "serving policy (energy/request is execution energy and is "
-               "not credited for skipped reloads; the static-power-dominated "
-               "ledger keeps it flat across policies); the CNN tenant sits "
+               "not credited for skipped reloads; static power per sample "
+               "window keeps it flat across policies); the CNN tenant sits "
                "between the regimes — its 5 tiles ride warm like the "
                "resident MLP, but every request streams 36 conv rows, so "
                "service time (and the batch=1 saturation point) is set by "

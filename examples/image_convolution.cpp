@@ -89,10 +89,10 @@ int main() {
   nn::PhotonicBackendOptions quantized = options;
   quantized.quantize_output = true;
   runtime::AcceleratorBackend fleet_quantized(accelerator, quantized);
-  const double energy_before = accelerator.fleet_ledger().total_energy();
+  std::vector<std::size_t> energy_mark;
+  accelerator.take_energy(energy_mark);
   graph::run(compiled, fleet_quantized, img);
-  const double energy =
-      accelerator.fleet_ledger().total_energy() - energy_before;
+  const double energy = accelerator.take_energy(energy_mark);
 
   const graph::Shape& out_shape = compiled.output_shape;
   const Matrix gx = channel(pho, out_shape, 0);

@@ -66,8 +66,7 @@ int main() {
                                        (reload_total + compute_total), 3) +
                      " %"});
   table.add_row({"pSRAM write energy",
-                 units::si_format(
-                     core.psram().ledger().energy("psram_write"), "J")});
+                 units::si_format(core.psram().write_energy(), "J")});
   table.print(std::cout);
 
   // The same streaming schedule on the PCM baseline.

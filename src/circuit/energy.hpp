@@ -5,10 +5,11 @@
 #include <string>
 #include <vector>
 
-/// Per-category energy/power accounting.  Every block of the tensor core
-/// (lasers, pSRAM drivers, TIAs, ADC channels, decoder, clocking) books its
-/// consumption here so the Sec. IV-D roll-up (4.10 TOPS @ 3.02 TOPS/W) is a
-/// sum of explicit, auditable entries rather than a single magic number.
+/// Per-category energy accounting: a name-sorted sum of one-off bookings.
+/// The modeled device paths do not book here — the tensor core counts ADC
+/// sample windows and the pSRAM counts bit flips, and energies are those
+/// exact counts times a per-event energy (TensorCore::energy,
+/// PsramArray::write_energy).
 namespace ptc::circuit {
 
 class EnergyLedger {
@@ -16,39 +17,22 @@ class EnergyLedger {
   /// Books a one-off energy amount [J] under a category.
   void add_energy(const std::string& category, double joules);
 
-  /// Registers a continuously-drawn static power [W]; repeated calls
-  /// accumulate.
-  void add_static_power(const std::string& category, double watts);
-
-  /// Converts all registered static powers into energy over `dt` seconds.
-  void accrue_static(double dt);
-
   /// Energy booked under a category so far [J] (0 if unknown).
   double energy(const std::string& category) const;
 
   /// Sum of all booked energies [J].
   double total_energy() const;
 
-  /// Registered static power for a category [W] (0 if unknown).
-  double static_power(const std::string& category) const;
-
-  /// Sum of all registered static powers [W].
-  double total_static_power() const;
-
   struct Entry {
     std::string category;
     double energy;
-    double static_power;
   };
 
   /// All categories sorted by name.
   std::vector<Entry> entries() const;
 
-  void reset();
-
  private:
   std::map<std::string, double> energies_;
-  std::map<std::string, double> static_powers_;
 };
 
 }  // namespace ptc::circuit

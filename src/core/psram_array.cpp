@@ -56,8 +56,6 @@ std::size_t PsramArray::write_word(std::size_t row, std::size_t index,
       ++cell_flips_[word_index * config_.bits_per_word + b];
     }
   }
-  ledger_.add_energy("psram_write",
-                     static_cast<double>(flipped) * config_.write_energy);
   return flipped;
 }
 

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "circuit/energy.hpp"
 #include "core/fault.hpp"
 #include "core/tech.hpp"
 
@@ -14,8 +13,9 @@
 /// is the right tool for Fig. 5 but not for a 768-bitcell tensor core.  The
 /// array therefore uses a *behavioral* cell calibrated against the device
 /// model (write energy, write latency, hold power — see
-/// tests/test_psram.cpp, which asserts the two levels agree) and tracks
-/// energy/latency through an EnergyLedger.
+/// tests/test_psram.cpp, which asserts the two levels agree) and counts its
+/// switching events: write energy is that exact count times the per-event
+/// write energy.
 ///
 /// Write scheduling follows the paper's Sec. III organisation: every row has
 /// its own write port, and the cells of a row are written one per 20 GHz
@@ -74,9 +74,10 @@ class PsramArray {
   /// Time to write one word (bits_per_word write slots) [s].
   double word_write_time() const;
 
-  /// Cumulative write energy ledger.
-  const circuit::EnergyLedger& ledger() const { return ledger_; }
-  circuit::EnergyLedger& ledger() { return ledger_; }
+  /// Cumulative write energy [J]: bit_flips() x the per-event write energy.
+  double write_energy() const {
+    return static_cast<double>(bit_flips_) * config_.write_energy;
+  }
 
   // --- write-endurance counters (fleet-health sensor channels) --------------
   /// Word writes performed since construction (including no-flip writes).
@@ -104,7 +105,6 @@ class PsramArray {
  private:
   PsramArrayConfig config_;
   std::vector<std::uint32_t> words_;  // row-major
-  circuit::EnergyLedger ledger_;
   std::uint64_t word_writes_ = 0;
   std::uint64_t bit_flips_ = 0;
   /// Per-bitcell switching counts, [word][bit] flattened like words_.

@@ -94,13 +94,7 @@ TensorCore::TensorCore(const TensorCoreConfig& config)
   full_scale_row_current_ = fs.photocurrent * static_cast<double>(tiles);
   ensures(full_scale_row_current_ > 0.0, "row full-scale calibration failed");
 
-  const auto power_parts = breakdown();
-  ledger_.add_static_power("adc", power_parts.adc);
-  ledger_.add_static_power("row_tia", power_parts.row_tia);
-  ledger_.add_static_power("comb_laser", power_parts.comb_laser);
-  ledger_.add_static_power("psram_hold", power_parts.psram_hold);
-  ledger_.add_static_power("weight_update", power_parts.weight_update);
-  ledger_.add_static_power("control", power_parts.control);
+  energy_per_sample_ = power() / adcs_.front().sample_rate();
 }
 
 std::size_t TensorCore::macros_per_row() const {
@@ -371,9 +365,7 @@ void TensorCore::quantize_sample(const double* analog, unsigned* codes) {
     ++adc_conversions_;
     if (codes[row] == adc.max_code()) ++adc_saturations_;
   }
-  ++samples_;
-  // One ADC sample window of static power is burned per sample.
-  ledger_.accrue_static(1.0 / adcs_.front().sample_rate());
+  ++samples_;  // burns one sample window of energy (energy_per_sample_)
 }
 
 Matrix TensorCore::multiply_analog_batch(const Matrix& inputs) {

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "circuit/energy.hpp"
 #include "circuit/tia.hpp"
 #include "common/linalg.hpp"
 #include "core/eoadc.hpp"
@@ -104,7 +103,8 @@ class TensorCore {
 
   /// Batched analog multiply: each row of `inputs` (n_samples x cols) is one
   /// input vector; returns n_samples x rows of normalized analog row values.
-  /// Like multiply_analog, this does not advance the sample/energy ledger.
+  /// Like multiply_analog, this does not advance the sample count, so it
+  /// burns no counted energy.
   Matrix multiply_analog_batch(const Matrix& inputs);
 
   /// True when the calibrated fast path is armed (config.fast_path and
@@ -248,10 +248,18 @@ class TensorCore {
   };
   PowerBreakdown breakdown() const;
 
-  /// Cumulative energy ledger for the operations performed so far.
-  const circuit::EnergyLedger& ledger() const { return ledger_; }
+  /// Energy of one ADC sample window [J]: the breakdown() power over one
+  /// sample period, frozen at construction (Sec. IV-D's per-sample static
+  /// power).  Per core: an amplifier-less eoADC's rate varies per die.
+  double energy_per_sample() const { return energy_per_sample_; }
 
-  /// Number of multiply() calls performed.
+  /// Energy of the operations performed so far [J]: the exact sample count
+  /// times energy_per_sample().
+  double energy() const {
+    return static_cast<double>(samples_) * energy_per_sample_;
+  }
+
+  /// ADC sample windows clocked so far (one per multiply() sample).
   std::size_t samples_processed() const { return samples_; }
 
   const TensorCoreConfig& config() const { return config_; }
@@ -325,7 +333,7 @@ class TensorCore {
   void analog_row_values_physics(const double* input, double* out);
 
   /// Digitizes one sample's analog row values into `codes` (rows() entries)
-  /// and bills the sample window.  A dead ladder reads 0; otherwise the
+  /// and counts the sample window.  A dead ladder reads 0; otherwise the
   /// fast path reads each eoADC's code table (EoAdc::code) and the oracle
   /// walks its rings (EoAdc::convert), so fast-vs-oracle checks also check
   /// the table.
@@ -347,7 +355,7 @@ class TensorCore {
   circuit::LinearTia row_tia_;
   double full_scale_row_current_ = 0.0;
   double readout_gain_ = 1.0;
-  circuit::EnergyLedger ledger_;
+  double energy_per_sample_ = 0.0;
   std::size_t samples_ = 0;
   FastGains fast_;
   std::vector<CalibrationEntry> calibrations_;  ///< MRU-first memo

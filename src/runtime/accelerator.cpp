@@ -352,11 +352,16 @@ Matrix Accelerator::matmul(const Matrix& x, const Matrix& w,
   return y;
 }
 
-circuit::EnergyLedger Accelerator::fleet_ledger() const {
-  std::vector<const circuit::EnergyLedger*> ledgers;
-  ledgers.reserve(cores_.size());
-  for (const auto& c : cores_) ledgers.push_back(&c->ledger());
-  return merge_ledgers(ledgers);
+double Accelerator::take_energy(std::vector<std::size_t>& mark) const {
+  mark.resize(cores_.size(), 0);
+  double energy = 0.0;
+  for (std::size_t i = 0; i < cores_.size(); ++i) {
+    const std::size_t samples = cores_[i]->samples_processed();
+    energy += static_cast<double>(samples - mark[i]) *
+              cores_[i]->energy_per_sample();
+    mark[i] = samples;
+  }
+  return energy;
 }
 
 double Accelerator::power() const {
@@ -367,7 +372,8 @@ double Accelerator::power() const {
 
 AcceleratorStats Accelerator::stats() const {
   AcceleratorStats out = stats_;
-  out.energy = fleet_ledger().total_energy();
+  std::vector<std::size_t> since_construction;
+  out.energy = take_energy(since_construction);
   out.fleet_power = power();
   return out;
 }

@@ -255,11 +255,16 @@ class Accelerator {
   telemetry::MetricsRegistry* metrics() const { return metrics_; }
 
   /// Fleet statistics accumulated since construction (or reset_stats()),
-  /// with energy/power drawn from the live per-core ledgers.
+  /// with power drawn from the live cores and energy counted since
+  /// construction.
   AcceleratorStats stats() const;
 
-  /// Merged per-core energy ledger.
-  circuit::EnergyLedger fleet_ledger() const;
+  /// Energy the fleet burned since `mark` [J]: the sum over cores, in core
+  /// order, of (samples now - mark) x that core's energy per sample.  Then
+  /// advances `mark` to the current sample counts; an empty mark counts
+  /// from construction.  Exact in the counts, so a window's energy does not
+  /// depend on what the fleet ran before it.
+  double take_energy(std::vector<std::size_t>& mark) const;
 
   /// Total fleet power draw [W].
   double power() const;

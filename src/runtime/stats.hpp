@@ -4,9 +4,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "circuit/energy.hpp"
-
-/// Fleet-level roll-up of the per-core metrics (EnergyLedger, throughput,
+/// Fleet-level roll-up of the per-core metrics (counted energy, throughput,
 /// reload latency) into the numbers a serving deployment cares about:
 /// aggregate TOPS, TOPS/W, and utilization.  All times here are *modeled*
 /// hardware time — what the 8 GS/s ADC clocks and 20 GHz pSRAM writes would
@@ -23,7 +21,7 @@ struct AcceleratorStats {
   double reload_time = 0.0;     ///< total modeled reload latency [s]
   double busy_time = 0.0;       ///< sum over cores of modeled busy time [s]
   double makespan = 0.0;        ///< modeled fleet wall time [s]
-  double energy = 0.0;          ///< aggregated ledger energy [J]
+  double energy = 0.0;          ///< fleet energy since construction [J]
   double fleet_power = 0.0;     ///< sum of per-core power draw [W]
   std::vector<double> core_busy;  ///< per-core modeled busy time [s]
 
@@ -48,11 +46,6 @@ struct AcceleratorStats {
     return busy_time > 0.0 ? reload_time / busy_time : 0.0;
   }
 };
-
-/// Merges per-core energy ledgers into one fleet ledger (energies and
-/// static powers add category-wise).
-circuit::EnergyLedger merge_ledgers(
-    const std::vector<const circuit::EnergyLedger*>& ledgers);
 
 }  // namespace ptc::runtime
 

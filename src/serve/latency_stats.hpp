@@ -114,11 +114,12 @@ struct ServeReport {
   /// Summed per-batch service latencies [s] (dispatch -> completion, over
   /// batches) — the quantity TenantCost::service_seconds decomposes.
   double service_time = 0.0;
-  /// Fleet ledger energy consumed executing the run's forward passes [J].
-  /// This is the full (cold) execution energy: warm passes shorten the
-  /// modeled latency but are not credited here — the ledger still pays
-  /// every reload, and it is dominated by static power over the fixed
-  /// per-request sample count, so energy/request barely moves with policy.
+  /// Counted fleet energy of the run's forward passes [J]: ADC sample
+  /// windows times each core's energy per sample.  This is the full (cold)
+  /// execution energy: warm passes shorten the modeled latency but are not
+  /// credited here — every sample window burns the same static power, and
+  /// the per-request sample count is fixed, so energy/request barely moves
+  /// with policy.
   double energy = 0.0;
   std::size_t cores = 0;        ///< fleet size the run used
   std::size_t passes = 0;       ///< weight-tile residencies streamed

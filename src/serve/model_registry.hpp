@@ -76,7 +76,7 @@ class ModelRegistry {
 
   /// The fleet-wide backend decode steps stream through (same one
   /// run_batch uses, so token and batch serving share residency state and
-  /// the energy ledger).
+  /// the counted sample windows).
   runtime::AcceleratorBackend& decode_backend() { return backend_; }
 
   /// The fleet every registered model executes on.

@@ -80,7 +80,9 @@ ServeReport Server::run(const std::vector<Request>& requests,
   // place — the operator's fleet state persists across SERVE:RUN?.
   if (!fault_schedule_.empty()) accelerator_.reset_faults();
   accelerator_.set_trace_time(0.0);
-  const double energy_before = accelerator_.fleet_ledger().total_energy();
+  // Energy attribution starts here (see the cost attribution state below).
+  std::vector<std::size_t> energy_mark;
+  accelerator_.take_energy(energy_mark);
 
   // Probing policies sample the fleet health monitor on a modeled-time
   // cadence; the estimate/anomaly triggers read *it*, never the oracle.
@@ -129,10 +131,10 @@ ServeReport Server::run(const std::vector<Request>& requests,
   // --- cost attribution state ---
   // Every joule and second the run charges is attributed to a tenant row
   // as it happens; fleet-side work (recalibration) lands on the reserved
-  // TenantCost::kFleetTenant row.  `ledger_last` walks the fleet energy
-  // ledger so each attribution event gets exactly the delta it caused.
+  // TenantCost::kFleetTenant row.  `energy_mark` holds each core's ADC
+  // sample count at the last attribution event, so each event gets exactly
+  // the counted energy it caused.
   std::map<std::string, TenantCost> costs;
-  double ledger_last = energy_before;
   const auto cost_row = [&costs](const std::string& tenant) -> TenantCost& {
     TenantCost& row = costs[tenant];
     if (row.tenant.empty()) row.tenant = tenant;
@@ -260,12 +262,10 @@ ServeReport Server::run(const std::vector<Request>& requests,
       const bool repair = event.kind == runtime::FaultEvent::Kind::kClear;
       fleet_free = std::max(fleet_free, fault_at + bist.latency);
       {
-        const double ledger_now = accelerator_.fleet_ledger().total_energy();
         TenantCost& fleet_row = cost_row(TenantCost::kFleetTenant);
         if (!repair) ++fleet_row.faults;
         fleet_row.fault_seconds += bist.latency;
-        fleet_row.energy_joules += ledger_now - ledger_last;
-        ledger_last = ledger_now;
+        fleet_row.energy_joules += accelerator_.take_energy(energy_mark);
       }
       if (policy.recalibrate_on_fault) fault_recal_pending = true;
       if (tracer_ != nullptr) {
@@ -403,12 +403,9 @@ ServeReport Server::run(const std::vector<Request>& requests,
         }
         if (health != nullptr) health->on_recalibration(dispatch_at);
         // Recalibration is fleet overhead no tenant caused: its downtime
-        // and ledger energy bill to the reserved fleet row.
+        // and counted energy bill to the reserved fleet row.
         {
-          const double ledger_now =
-              accelerator_.fleet_ledger().total_energy();
-          const double recal_energy = ledger_now - ledger_last;
-          ledger_last = ledger_now;
+          const double recal_energy = accelerator_.take_energy(energy_mark);
           TenantCost& fleet_row = cost_row(TenantCost::kFleetTenant);
           ++fleet_row.recalibrations;
           fleet_row.recalibration_seconds += downtime.latency;
@@ -464,11 +461,9 @@ ServeReport Server::run(const std::vector<Request>& requests,
     accelerator_.set_trace_time(dispatch_at);
     const BatchDispatch result =
         registry_.run_batch(batch.front().model, x);
-    // Snapshot the ledger before the float-reference scoring below: this
-    // batch's energy delta is exactly what its tile passes charged.
-    const double batch_energy =
-        accelerator_.fleet_ledger().total_energy() - ledger_last;
-    ledger_last += batch_energy;
+    // Take the energy before the float-reference scoring below: this
+    // batch's energy is exactly what its tile passes' samples burned.
+    const double batch_energy = accelerator_.take_energy(energy_mark);
     const double completion = dispatch_at + result.latency;
     const std::vector<std::size_t> predicted =
         nn::argmax_rows(result.logits);
@@ -622,11 +617,9 @@ ServeReport Server::run(const std::vector<Request>& requests,
 
   report.makespan = fleet_free;
 
-  // Any ledger energy charged outside the attributed windows (there is
-  // normally none) is fleet overhead; bill it so attribution stays
-  // exhaustive.
-  const double unattributed =
-      accelerator_.fleet_ledger().total_energy() - ledger_last;
+  // Any energy burned outside the attributed windows (there is normally
+  // none) is fleet overhead; bill it so attribution stays exhaustive.
+  const double unattributed = accelerator_.take_energy(energy_mark);
   if (unattributed != 0.0) {
     cost_row(TenantCost::kFleetTenant).energy_joules += unattributed;
   }

@@ -119,7 +119,7 @@ class Server {
   /// O(buckets) log-scale histograms: count, mean, and max are exact;
   /// percentiles are within one bucket (~7.5%) of the exact sample.
   ///
-  /// Every batch's cost (passes, busy time, ledger energy, service
+  /// Every batch's cost (passes, busy time, counted energy, service
   /// latency) is attributed to the batch's tenants as it completes
   /// (ServeReport::tenant_costs), and the report's fleet totals are
   /// derived from those rows so the decomposition conserves them

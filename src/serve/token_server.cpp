@@ -85,7 +85,8 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
   nn::MatmulBackend& backend = registry_.decode_backend();
   const std::size_t weight_passes =
       registry_.transformer_weight_passes(model_name);
-  double ledger_last = accelerator_.fleet_ledger().total_energy();
+  std::vector<std::size_t> energy_mark;
+  accelerator_.take_energy(energy_mark);
 
   // --- attribution state (same conservation contract as Server::run) ---
   std::map<std::string, TenantCost> costs;
@@ -195,7 +196,7 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
 
     // --- one token step: every live request decodes exactly one token ---
     const double step_start = now;
-    // The decode matmuls charge the energy ledger; the modeled timing
+    // The decode matmuls burn the counted energy; the modeled timing
     // comes from the batch_cost pass below — detach the tracer around the
     // real execution so each hardware span is emitted exactly once.
     telemetry::Tracer* tracer = accelerator_.tracer();
@@ -222,9 +223,7 @@ TokenServeReport TokenServer::run(const std::vector<TokenRequest>& requests,
     const runtime::BatchCost cost = accelerator_.batch_cost(
         weight_passes + attention_passes, warm, step_tokens);
     const double step_end = step_start + cost.latency;
-    const double step_energy =
-        accelerator_.fleet_ledger().total_energy() - ledger_last;
-    ledger_last += step_energy;
+    const double step_energy = accelerator_.take_energy(energy_mark);
     ++report.steps;
 
     const std::size_t kv_rows_now = kv_rows_active();

@@ -94,7 +94,7 @@ struct TokenServeReport {
 
   double makespan = 0.0;  ///< last step completion [s]
   double busy = 0.0;      ///< summed core-busy time [s], from tenant rows
-  double energy = 0.0;    ///< fleet ledger energy [J], from tenant rows
+  double energy = 0.0;    ///< counted fleet energy [J], from tenant rows
   std::size_t passes = 0;       ///< tile passes (weights + attention)
   std::size_t warm_passes = 0;  ///< reload-free weight passes
 

@@ -302,9 +302,12 @@ std::string MetricsRegistry::prometheus_text() const {
         }
         out << name << "_bucket{" << prefix << "le=\"+Inf\"} " << h.count()
             << "\n";
-        const std::string selector =
-            prefix.empty() ? ""
-                           : "{" + prefix.substr(0, prefix.size() - 1) + "}";
+        // Built with append: GCC 12 flags `"{" + ... + "}"` here with a
+        // false -Wrestrict (GCC bug 105329).
+        std::string selector;
+        if (!prefix.empty()) {
+          selector.append("{").append(prefix, 0, prefix.size() - 1).append("}");
+        }
         out << name << "_sum" << selector << " "
             << json::format_number(h.sum()) << "\n";
         out << name << "_count" << selector << " " << h.count() << "\n";

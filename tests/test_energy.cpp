@@ -17,47 +17,22 @@ TEST(EnergyLedger, AccumulatesPerCategory) {
   EXPECT_DOUBLE_EQ(ledger.energy("unknown"), 0.0);
 }
 
-TEST(EnergyLedger, StaticPowerAccrual) {
-  EnergyLedger ledger;
-  ledger.add_static_power("adc", 18.6e-3);
-  ledger.add_static_power("tia", 38e-3);
-  EXPECT_NEAR(ledger.total_static_power(), 56.6e-3, 1e-9);
-  ledger.accrue_static(125e-12);  // one 8 GS/s sample window
-  EXPECT_NEAR(ledger.energy("adc"), 18.6e-3 * 125e-12, 1e-18);
-  EXPECT_NEAR(ledger.energy("tia"), 38e-3 * 125e-12, 1e-18);
-}
-
-TEST(EnergyLedger, RepeatedStaticRegistrationAccumulates) {
-  EnergyLedger ledger;
-  for (int i = 0; i < 16; ++i) ledger.add_static_power("adc", 18.6e-3);
-  EXPECT_NEAR(ledger.static_power("adc"), 16 * 18.6e-3, 1e-9);
-}
-
-TEST(EnergyLedger, EntriesIncludeStaticOnlyCategories) {
+TEST(EnergyLedger, EntriesAreSortedByName) {
   EnergyLedger ledger;
   ledger.add_energy("write", 1e-12);
-  ledger.add_static_power("hold", 1e-3);
+  ledger.add_energy("hold", 2e-12);
   const auto entries = ledger.entries();
   ASSERT_EQ(entries.size(), 2u);
-  bool saw_hold = false;
-  for (const auto& e : entries) {
-    if (e.category == "hold") {
-      saw_hold = true;
-      EXPECT_DOUBLE_EQ(e.energy, 0.0);
-      EXPECT_DOUBLE_EQ(e.static_power, 1e-3);
-    }
-  }
-  EXPECT_TRUE(saw_hold);
+  EXPECT_EQ(entries[0].category, "hold");
+  EXPECT_DOUBLE_EQ(entries[0].energy, 2e-12);
+  EXPECT_EQ(entries[1].category, "write");
+  EXPECT_DOUBLE_EQ(entries[1].energy, 1e-12);
 }
 
-TEST(EnergyLedger, ResetAndValidation) {
+TEST(EnergyLedger, RejectsNegativeEnergy) {
   EnergyLedger ledger;
-  ledger.add_energy("x", 1.0);
-  ledger.reset();
-  EXPECT_DOUBLE_EQ(ledger.total_energy(), 0.0);
   EXPECT_THROW(ledger.add_energy("x", -1.0), std::invalid_argument);
-  EXPECT_THROW(ledger.add_static_power("x", -1.0), std::invalid_argument);
-  EXPECT_THROW(ledger.accrue_static(-1.0), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(ledger.total_energy(), 0.0);
 }
 
 }  // namespace

@@ -79,8 +79,11 @@ TEST(Integration, WeightStreamingUpdatesResults) {
     EXPECT_LT(low_codes[r], high_codes[r]);
     EXPECT_EQ(high_codes[r], 7u);
   }
-  // Write energy was booked for the flipped bits of both loads.
-  EXPECT_GT(tc.psram().ledger().energy("psram_write"), 0.0);
+  // Write energy is counted for the flipped bits of both loads.
+  EXPECT_GT(tc.psram().write_energy(), 0.0);
+  EXPECT_EQ(tc.psram().write_energy(),
+            static_cast<double>(tc.psram().bit_flips()) *
+                tc.config().psram.write_energy);
 }
 
 TEST(Integration, UpdateSpeedAdvantageOverPcm) {

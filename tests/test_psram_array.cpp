@@ -29,13 +29,27 @@ TEST(PsramArray, WriteEnergyCountsOnlyFlippedBits) {
   PsramArray array;
   // 0 -> 7 flips 3 bits.
   EXPECT_EQ(array.write_word(0, 0, 7), 3u);
-  const double after_first = array.ledger().energy("psram_write");
+  const double after_first = array.write_energy();
   EXPECT_NEAR(after_first, 3 * 0.493e-12, 1e-15);
+  EXPECT_EQ(after_first, static_cast<double>(array.bit_flips()) * 0.493e-12);
   // 7 -> 7 flips nothing.
   EXPECT_EQ(array.write_word(0, 0, 7), 0u);
-  EXPECT_NEAR(array.ledger().energy("psram_write"), after_first, 1e-18);
+  EXPECT_EQ(array.write_energy(), after_first);
   // 7 -> 6 flips one bit.
   EXPECT_EQ(array.write_word(0, 0, 6), 1u);
+}
+
+TEST(PsramArray, WornCellTogglesCostNoWriteEnergy) {
+  PsramArrayConfig config;
+  config.fault.seed = 77;
+  config.fault.psram_endurance_median = 2.0;  // cells die within a few writes
+  PsramArray array(config);
+  for (int i = 0; i < 16; ++i) array.write_word(0, 0, i % 2 == 0 ? 7u : 0u);
+  // Refused toggles are not switching events, so they cost no energy.
+  ASSERT_GT(array.write_errors(), 0u);
+  EXPECT_LT(array.bit_flips(), 48u);
+  EXPECT_EQ(array.write_energy(),
+            static_cast<double>(array.bit_flips()) * config.write_energy);
 }
 
 TEST(PsramArray, MatrixReloadLatencyAt20GHz) {

@@ -66,7 +66,8 @@ constexpr GoldenValue kGolden[] = {
     {"beta_p99", 3.0800000000000011e-08, false},
 };
 
-ServeReport run_scenario() {
+/// Runs the scenario below `runs` times back to back on one fleet.
+std::vector<ServeReport> run_scenario_repeated(std::size_t runs) {
   // 4-core variation-aware fleet (each die a distinct seeded device, so
   // the run scores accuracy against the float reference), one resident
   // model ("small", 2 tiles) and one streaming model ("wide", 6 tiles),
@@ -86,8 +87,14 @@ ServeReport run_scenario() {
        {.name = "beta", .model = "wide", .rate = 40e6, .requests = 20}},
       4321);
   const BatchPolicy policy{.max_batch = 8, .max_wait = 25e-9};
-  return server.run(generator.generate(registry), policy);
+  std::vector<ServeReport> reports;
+  for (std::size_t i = 0; i < runs; ++i) {
+    reports.push_back(server.run(generator.generate(registry), policy));
+  }
+  return reports;
 }
+
+ServeReport run_scenario() { return run_scenario_repeated(1).front(); }
 
 std::vector<double> actual_values(const ServeReport& report) {
   const LatencyStats alpha = report.tenant_total("alpha");
@@ -184,7 +191,8 @@ constexpr GoldenValue kTokenGolden[] = {
     {"first_token_p99", 3.2140000000000001e-07, false},
 };
 
-TokenServeReport run_token_scenario() {
+/// Runs the token scenario below `runs` times back to back on one fleet.
+std::vector<TokenServeReport> run_token_scenario_repeated(std::size_t runs) {
   // Same multi-tenant transformer scenario the attribution conservation
   // tests pin: a 4-core varied fleet, one registered transformer, six
   // near-simultaneous requests from three tenants under continuous
@@ -228,7 +236,15 @@ TokenServeReport run_token_scenario() {
   policy.schedule = TokenPolicy::Schedule::kContinuous;
   policy.max_batch = 8;
   policy.kv_budget_rows = 8 * tf_config.layers;
-  return server.run(requests, policy);
+  std::vector<TokenServeReport> reports;
+  for (std::size_t i = 0; i < runs; ++i) {
+    reports.push_back(server.run(requests, policy));
+  }
+  return reports;
+}
+
+TokenServeReport run_token_scenario() {
+  return run_token_scenario_repeated(1).front();
 }
 
 std::vector<double> actual_token_values(const TokenServeReport& report) {
@@ -303,6 +319,34 @@ TEST(ServeGolden, TokenScenarioIsReproducibleWithinOneProcess) {
   EXPECT_EQ(a.steps, b.steps);
   EXPECT_EQ(a.kv_peak_rows, b.kv_peak_rows);
   EXPECT_EQ(a.preemptions, b.preemptions);
+}
+
+/// Energy is counted, not accumulated: a run on a fleet that already served
+/// one books bit-identical fleet and per-tenant energies.
+template <typename Report>
+void expect_identical_energy(const Report& first, const Report& second) {
+  EXPECT_EQ(first.energy, second.energy);
+  ASSERT_EQ(first.tenant_costs.size(), second.tenant_costs.size());
+  for (std::size_t i = 0; i < first.tenant_costs.size(); ++i) {
+    EXPECT_EQ(first.tenant_costs[i].tenant, second.tenant_costs[i].tenant);
+    EXPECT_EQ(first.tenant_costs[i].energy_joules,
+              second.tenant_costs[i].energy_joules)
+        << first.tenant_costs[i].tenant;
+  }
+}
+
+TEST(ServeGolden, RepeatRunOnOneFleetBooksIdenticalEnergy) {
+  const std::vector<ServeReport> runs = run_scenario_repeated(2);
+  EXPECT_GT(runs[0].energy, 0.0);
+  EXPECT_EQ(runs[0].makespan, runs[1].makespan);
+  expect_identical_energy(runs[0], runs[1]);
+}
+
+TEST(ServeGolden, TokenRepeatRunOnOneFleetBooksIdenticalEnergy) {
+  const std::vector<TokenServeReport> runs = run_token_scenario_repeated(2);
+  EXPECT_GT(runs[0].energy, 0.0);
+  EXPECT_EQ(runs[0].makespan, runs[1].makespan);
+  expect_identical_energy(runs[0], runs[1]);
 }
 
 TEST(ServeGolden, ScenarioIsReproducibleWithinOneProcess) {

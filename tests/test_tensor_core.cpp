@@ -138,13 +138,42 @@ TEST(TensorCore, LedgerAccruesPerSample) {
   std::vector<std::vector<std::uint32_t>> w(
       16, std::vector<std::uint32_t>(16, 3));
   core.load_weights(w);
-  const double before = core.ledger().total_energy();
+  const double before = core.energy();
   core.multiply(std::vector<double>(16, 0.5));
   core.multiply(std::vector<double>(16, 0.5));
-  const double after = core.ledger().total_energy();
+  const double after = core.energy();
   EXPECT_EQ(core.samples_processed(), 2u);
   // Two 125 ps windows of ~1.36 W: ~0.34 nJ.
   EXPECT_NEAR((after - before) * 1e9, 0.339, 0.02);
+  // Counted exactly: the sample count times the per-sample energy, which
+  // is the core's power over one sample window.
+  EXPECT_EQ(core.energy_per_sample(),
+            core.power() / core.adc(0).sample_rate());
+  EXPECT_EQ(core.energy(),
+            static_cast<double>(core.samples_processed()) *
+                core.energy_per_sample());
+}
+
+TEST(TensorCore, OraclePathBooksTheSameEnergy) {
+  // Energy counts sample windows, not the path that produced them: the
+  // fast path and the physics walk book bit-identical energy.
+  TensorCoreConfig oracle_config;
+  oracle_config.fast_path = false;
+  TensorCore fast;
+  TensorCore oracle(oracle_config);
+  std::vector<std::vector<std::uint32_t>> w(
+      16, std::vector<std::uint32_t>(16, 5));
+  fast.load_weights(w);
+  oracle.load_weights(w);
+  Matrix inputs(3, 16, 0.25);
+  fast.multiply_batch(inputs);
+  oracle.multiply_batch(inputs);
+  fast.multiply(std::vector<double>(16, 0.75));
+  oracle.multiply(std::vector<double>(16, 0.75));
+  EXPECT_EQ(fast.samples_processed(), 4u);
+  EXPECT_EQ(oracle.samples_processed(), fast.samples_processed());
+  EXPECT_GT(fast.energy(), 0.0);
+  EXPECT_EQ(oracle.energy(), fast.energy());
 }
 
 TEST(TensorCore, SmallerGeometriesWork) {
