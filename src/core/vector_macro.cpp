@@ -1,6 +1,7 @@
 #include "core/vector_macro.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/expects.hpp"
@@ -153,6 +154,8 @@ void VectorComputeMacro::tabulated_chain(unsigned bit_row, double* out) {
     table_epochs_.assign(static_cast<std::size_t>(config_.weight_bits) * m * 2,
                          0);
   }
+  std::array<double, tech_wdm_channels * 2> wavelengths{};
+  for (std::size_t c = 0; c < m; ++c) wavelengths[c] = channel_wavelength(c);
   const unsigned bit_index = config_.weight_bits - 1 - bit_row;
   std::fill(out, out + m, 1.0);
   for (std::size_t k = 0; k < m; ++k) {
@@ -162,8 +165,7 @@ void VectorComputeMacro::tabulated_chain(unsigned bit_row, double* out) {
     double* transmissions = table_.data() + slot * m;
     if (table_epochs_[slot] != table_epoch_) {
       for (std::size_t c = 0; c < m; ++c) {
-        transmissions[c] =
-            rings_[bit_row][k].thru_transmission(channel_wavelength(c));
+        transmissions[c] = rings_[bit_row][k].thru_transmission(wavelengths[c]);
       }
       table_epochs_[slot] = table_epoch_;
     }

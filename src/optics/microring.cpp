@@ -1,7 +1,9 @@
 #include "optics/microring.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numbers>
 
 #include "common/expects.hpp"
@@ -42,6 +44,22 @@ Microring::Microring(const MicroringConfig& config)
   const double loss_db =
       config.loss_db_per_cm * (circumference_ + config.dl) * 100.0;
   amplitude_ = std::sqrt(units::db_to_ratio(-loss_db));
+  refresh_electro_optic_shift();
+}
+
+void Microring::set_bias(double v) {
+  // Rebiasing to the same value (the common weight-reload case) stays free;
+  // comparing bit patterns keeps -0.0 and 0.0 distinct, as the shift does.
+  if (std::bit_cast<std::uint64_t>(v) == std::bit_cast<std::uint64_t>(bias_)) {
+    return;
+  }
+  bias_ = v;
+  refresh_electro_optic_shift();
+}
+
+void Microring::refresh_electro_optic_shift() {
+  electro_optic_shift_ = junction_.resonance_shift(bias_) -
+                         junction_.resonance_shift(config_.pin_bias);
 }
 
 void Microring::set_heater_shift(double dlambda) {
@@ -50,10 +68,8 @@ void Microring::set_heater_shift(double dlambda) {
 }
 
 double Microring::tuning_shift() const {
-  const double electro_optic = junction_.resonance_shift(bias_) -
-                               junction_.resonance_shift(config_.pin_bias);
   const double thermal = config_.dlambda_dt * dtemp_;
-  return electro_optic + thermal + heater_shift_ + fab_error_;
+  return electro_optic_shift_ + thermal + heater_shift_ + fab_error_;
 }
 
 double Microring::round_trip_phase(double wavelength) const {

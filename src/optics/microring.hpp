@@ -31,6 +31,14 @@
 /// section of calibrated index n_section, shifting the resonance by
 /// (lambda / (n_g L)) * n_section * dL — n_section's default is fitted so
 /// that dL = 68 nm yields the paper's 2.33 nm channel spacing.
+///
+/// The electro-optic term of the tuning shift depends only on the bias, not
+/// on the wavelength, and is the only term that costs square roots.  Each
+/// ring therefore caches it: the constructor and set_bias() recompute it with
+/// the same expression (so the same double), set_bias() skips the refresh
+/// when the new bias has the old bit pattern, and the const spectral
+/// evaluations only read it.  Every response stays bit-identical to
+/// re-evaluating the junction per wavelength.
 namespace ptc::optics {
 
 struct MicroringConfig {
@@ -56,7 +64,7 @@ class Microring {
 
   // --- electrical / environmental state -----------------------------------
   /// Sets the pn-junction bias [V] (instantaneous; drivers model dynamics).
-  void set_bias(double v) { bias_ = v; }
+  void set_bias(double v);
   double bias() const { return bias_; }
 
   /// Ambient temperature deviation from nominal [K].
@@ -108,6 +116,9 @@ class Microring {
   /// Aggregate resonance shift from bias/thermal/heater/fabrication [m].
   double tuning_shift() const;
 
+  /// Recomputes electro_optic_shift_ from bias_.
+  void refresh_electro_optic_shift();
+
   /// Round-trip phase at the given wavelength.
   double round_trip_phase(double wavelength) const;
 
@@ -121,6 +132,9 @@ class Microring {
   double amplitude_;   ///< single-pass field amplitude a
 
   double bias_ = 0.0;
+  /// resonance_shift(bias_) - resonance_shift(pin_bias) [m], cached (see
+  /// the file comment).
+  double electro_optic_shift_ = 0.0;
   double dtemp_ = 0.0;
   double heater_shift_ = 0.0;
   double fab_error_ = 0.0;

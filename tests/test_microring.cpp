@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/tech.hpp"
 #include "optics/microring.hpp"
+#include "optics/pn_phase_shifter.hpp"
 
 namespace {
 
@@ -178,6 +185,122 @@ TEST(Microring, RejectsBadConfig) {
   EXPECT_THROW(Microring{bad}, std::invalid_argument);
   const Microring good(compute_ring_config(0, 0.0));
   EXPECT_THROW(good.thru_transmission(0.0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Cached electro-optic shift: a ring driven through any setter sequence
+// evaluates bit for bit like a ring freshly constructed in its final state.
+// ---------------------------------------------------------------------------
+
+struct RingState {
+  double bias = 0.0;
+  double temperature = 0.0;
+  double heater = 0.0;
+  double fab_error = 0.0;
+};
+
+Microring fresh_ring(const MicroringConfig& config, const RingState& state) {
+  Microring ring(config);
+  ring.set_bias(state.bias);
+  ring.set_temperature_offset(state.temperature);
+  ring.set_heater_shift(state.heater);
+  ring.set_resonance_error(state.fab_error);
+  return ring;
+}
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Every spectral response of `ring` equals, bit for bit, that of a ring
+/// constructed fresh with `state`.
+void expect_matches_fresh(const Microring& ring, const RingState& state) {
+  const Microring fresh = fresh_ring(ring.config(), state);
+  const double design = ring.config().design_wavelength;
+  for (double lambda : {design, design - 120e-12, design + 35e-12,
+                        channel_wavelength(0), channel_wavelength(3)}) {
+    EXPECT_TRUE(same_bits(ring.thru_transmission(lambda),
+                          fresh.thru_transmission(lambda)))
+        << "thru at " << lambda << ", bias " << state.bias;
+    EXPECT_TRUE(same_bits(ring.drop_transmission(lambda),
+                          fresh.drop_transmission(lambda)))
+        << "drop at " << lambda << ", bias " << state.bias;
+    EXPECT_TRUE(same_bits(ring.resonance_near(lambda),
+                          fresh.resonance_near(lambda)))
+        << "resonance near " << lambda << ", bias " << state.bias;
+  }
+}
+
+/// Ring configurations with a nonzero pin bias: an add-drop compute ring
+/// and an all-pass eoADC ring.
+std::vector<MicroringConfig> pinned_configs() {
+  MicroringConfig adc = adc_ring_config();
+  adc.pin_bias = -0.4;
+  return {compute_ring_config(0, 0.9), adc};
+}
+
+TEST(MicroringCache, EverySetterOrderMatchesAFreshRing) {
+  // Bias steps include a repeated value, a return to the pin bias and -0.0
+  // right after 0.0.
+  const std::vector<double> biases = {1.8, 1.8, 0.0, -0.0, 0.9, 0.25, 0.25};
+  for (const MicroringConfig& config : pinned_configs()) {
+    std::array<int, 4> order = {0, 1, 2, 3};
+    do {
+      // rings[0] sees the whole sequence; rings[1] is copied from it after
+      // the second setter and then driven alongside it.
+      std::vector<Microring> rings = {Microring(config)};
+      rings.reserve(2);
+      RingState state;
+      auto expect_all_match = [&] {
+        for (const Microring& r : rings) expect_matches_fresh(r, state);
+      };
+      expect_all_match();
+      for (std::size_t step = 0; step < order.size(); ++step) {
+        switch (order[step]) {
+          case 0:
+            for (double v : biases) {
+              for (Microring& r : rings) r.set_bias(v);
+              state.bias = v;
+              expect_all_match();
+            }
+            break;
+          case 1:
+            for (Microring& r : rings) r.set_temperature_offset(2.5);
+            state.temperature = 2.5;
+            break;
+          case 2:
+            for (Microring& r : rings) r.set_heater_shift(40e-12);
+            state.heater = 40e-12;
+            break;
+          default:
+            for (Microring& r : rings) r.set_resonance_error(-25e-12);
+            state.fab_error = -25e-12;
+            break;
+        }
+        expect_all_match();
+        if (step == 1) rings.push_back(rings.front());
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+TEST(MicroringCache, ResonanceTracksTheJunctionShift) {
+  // Absolute check on the cached term: at every bias, the resonance sits
+  // resonance_shift(bias) - resonance_shift(pin_bias) from the pinned one.
+  for (const MicroringConfig& config : pinned_configs()) {
+    const PnPhaseShifter junction(config.junction);
+    const double design = config.design_wavelength;
+    const double pin_shift = junction.resonance_shift(config.pin_bias);
+    Microring ring(config);  // constructed at bias 0
+    EXPECT_NEAR((ring.resonance_near(design) - design) * 1e12,
+                (junction.resonance_shift(0.0) - pin_shift) * 1e12, 0.5);
+    for (double v : {config.pin_bias, 1.8, -0.3, 0.0}) {
+      ring.set_bias(v);
+      EXPECT_NEAR((ring.resonance_near(design) - design) * 1e12,
+                  (junction.resonance_shift(v) - pin_shift) * 1e12, 0.5)
+          << "bias " << v;
+    }
+  }
 }
 
 }  // namespace
